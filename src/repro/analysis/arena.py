@@ -105,14 +105,16 @@ def arena_tasks(
     instructions: int,
     ssmt_config: SSMTConfig,
     potential_config: PotentialConfig,
-    kernel: str = "scalar",
+    kernel: str = "batched",
     sample: Optional[Any] = None,
 ) -> List[SweepTask]:
     """The arena grid: one shared oracle per benchmark, then a
     baseline/ssmt/potential triple per (zoo baseline, benchmark).
 
     ``kernel``/``sample`` apply to the baseline/ssmt points only —
-    oracle and potential runs always use the scalar reference loop.
+    oracle points run the default loop, and potential runs (whose
+    listener is not the stock engine) always use the scalar reference
+    loop.
     """
     tasks: List[SweepTask] = [
         SweepTask(kind="oracle", benchmark=name, instructions=instructions,
@@ -176,7 +178,7 @@ def run_arena(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     resume: bool = True,
-    kernel: str = "scalar",
+    kernel: str = "batched",
     sample: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Run the arena and return the ``repro.arena/1`` artifact.

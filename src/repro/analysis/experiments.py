@@ -24,14 +24,14 @@ from repro.core.ssmt import SSMTConfig
 from repro.parallel import SweepRunner, SweepTask, point_ipc
 from repro.sim.trace import Trace
 from repro.uarch.config import TABLE3_BASELINE, MachineConfig
-from repro.uarch.timing import OoOTimingModel, TimingResult
+from repro.uarch.timing import TimingResult, timing_model
 from repro.workloads.suite import DEFAULT_TRACE_LENGTH
 
 
-def baseline_run(trace: Trace,
-                 machine: MachineConfig = TABLE3_BASELINE) -> TimingResult:
+def baseline_run(trace: Trace, machine: MachineConfig = TABLE3_BASELINE,
+                 kernel: str = "batched") -> TimingResult:
     """The Table 3 baseline machine with the hardware hybrid predictor."""
-    return OoOTimingModel(machine).run(trace, BranchPredictorComplex())
+    return timing_model(machine, kernel).run(trace, BranchPredictorComplex())
 
 
 def _run_grid(tasks: List[SweepTask], jobs: Optional[int],

@@ -83,6 +83,7 @@ from repro.parallel import (
     parse_knob_value,
 )
 from repro.telemetry import TelemetrySession, write_bench_json
+from repro.uarch.timing import KERNELS
 from repro.verify import RULES, SimSanitizer, verify_suite
 from repro.verify.runner import DEFAULT_VERIFY_LENGTH
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace, build_benchmark
@@ -97,12 +98,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
     """The retire-loop kernel / sampled-simulation flags (repro.kernel)."""
-    parser.add_argument("--kernel", choices=("scalar", "batched"),
-                        default="scalar",
-                        help="retire-loop implementation: the scalar "
-                             "reference loop or the predecoded-column "
-                             "batched kernel (bit-identical, faster; "
-                             "see docs/performance.md)")
+    parser.add_argument("--kernel", choices=KERNELS, default="batched",
+                        help="retire-loop implementation: the "
+                             "predecoded-column batched loop (default) or "
+                             "the scalar reference loop; bit-identical "
+                             "(see docs/performance.md)")
     parser.add_argument("--sample-interval", type=int, default=None,
                         metavar="N",
                         help="run sampled simulation with this period in "
@@ -150,11 +150,10 @@ def cmd_run(args) -> int:
     name = _check_benchmark(args.benchmark)
     trace = benchmark_trace(name, args.instructions)
     sample = _sample_spec(args)
-    if args.profile_guided and (sample is not None
-                                or args.kernel != "scalar"):
+    if args.profile_guided and sample is not None:
         raise SystemExit(
-            "--kernel/--sample-interval select the dynamic engine's "
-            "retire loop; they cannot be combined with --profile-guided")
+            "--sample-interval selects the dynamic engine's retire loop; "
+            "it cannot be combined with --profile-guided")
     if sample is not None and (args.sanitize or args.metrics_out):
         raise SystemExit(
             "--sample-interval fast-forwards between detailed windows, "
@@ -166,13 +165,8 @@ def cmd_run(args) -> int:
         from repro.kernel.sampling import run_sampled
 
         base = run_sampled(trace, BranchPredictorComplex(), sample)
-    elif args.kernel == "batched":
-        from repro.branch.unit import BranchPredictorComplex
-        from repro.kernel.batched import BatchedOoOTimingModel
-
-        base = BatchedOoOTimingModel().run(trace, BranchPredictorComplex())
     else:
-        base = baseline_run(trace)
+        base = baseline_run(trace, kernel=args.kernel)
     config = SSMTConfig(n=args.n, difficulty_threshold=args.threshold,
                         pruning=not args.no_pruning)
     sanitizer = None
@@ -676,7 +670,7 @@ def cmd_sweep(args) -> int:
               "CODE_SCHEMA_VERSION are invalidated by design (see "
               "docs/service.md, 'Cache invalidation')", file=sys.stderr)
     context_extra: Dict[str, Any] = {}
-    if args.kernel != "scalar":
+    if args.kernel != "batched":
         context_extra["kernel"] = args.kernel
     if sample is not None:
         context_extra["sample"] = {"interval": sample.interval,

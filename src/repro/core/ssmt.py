@@ -46,7 +46,12 @@ from repro.core.prediction_cache import (
 from repro.core.spawn import ActiveMicrothread, SpawnManager
 from repro.sim.trace import DynamicInstruction, Trace
 from repro.uarch.config import MachineConfig, TABLE3_BASELINE
-from repro.uarch.timing import OoOTimingModel, PredictionEntry, TimingResult
+from repro.uarch.timing import (
+    OoOTimingModel,
+    PredictionEntry,
+    TimingResult,
+    timing_model,
+)
 from repro.valuepred import AddressPredictor, PredictorTrainer, StridePredictor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -601,18 +606,18 @@ def run_ssmt(
     sanitizer: Optional["SimSanitizer"] = None,
     telemetry: Optional["TelemetrySession"] = None,
     event_log: Optional[EventLog] = None,
-    kernel: str = "scalar",
+    kernel: str = "batched",
     sample: Optional[object] = None,
 ) -> Tuple[TimingResult, SSMTEngine]:
     """Run the full SSMT machine over ``trace``; returns timing + engine.
 
-    ``kernel`` selects the retire-loop implementation: ``"scalar"`` (the
-    per-record reference loop) or ``"batched"`` (the predecoded-column
-    kernel of :mod:`repro.kernel`, bit-identical and faster).  ``sample``
-    takes a :class:`~repro.kernel.sampling.SampleSpec` to run sampled
-    simulation (detailed windows + functional fast-forward) instead of
-    the exact full run.  Both imports are deferred so the default path
-    never touches :mod:`repro.kernel`.
+    ``kernel`` selects the retire-loop implementation (see
+    :func:`~repro.uarch.timing.timing_model`): ``"batched"`` (the
+    default, the predecoded-column loop) or ``"scalar"`` (the per-record
+    reference loop); both are bit-identical.  ``sample`` takes a
+    :class:`~repro.kernel.sampling.SampleSpec` to run sampled simulation
+    (detailed windows + functional fast-forward) instead of the exact
+    full run.
     """
     engine = SSMTEngine(config, initial_memory=trace.initial_memory,
                         event_log=event_log,
@@ -625,14 +630,6 @@ def run_ssmt(
         result = run_sampled(trace, predictor, sample, machine=machine,
                              engine=engine)
         return result, engine
-    if kernel == "batched":
-        from repro.kernel.batched import BatchedOoOTimingModel
-
-        model: OoOTimingModel = BatchedOoOTimingModel(machine)
-    elif kernel == "scalar":
-        model = OoOTimingModel(machine)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}; "
-                         f"expected 'scalar' or 'batched'")
+    model = timing_model(machine, kernel)
     result = model.run(trace, predictor, listener=engine)
     return result, engine

@@ -1,44 +1,32 @@
 """Batched retire-loop kernel and sampled simulation.
 
-``repro.kernel`` is the structural speed layer over the scalar
-simulator (ROADMAP item 2):
+``repro.kernel`` is the retire loop every exact timing pass runs on:
 
 * :func:`~repro.kernel.columns.predecode` /
   :class:`~repro.kernel.columns.TraceColumns` — struct-of-arrays
-  predecode of a trace (numpy / stdlib ``array`` / pure-Python
-  backends),
+  predecode of a trace into plain-list columns,
 * :class:`~repro.kernel.batched.BatchedOoOTimingModel` — the fused
   column-batched timing + SSMT retire loop, bit-identical to the scalar
-  path,
+  reference loop of :class:`repro.uarch.timing.OoOTimingModel`,
 * :class:`~repro.kernel.sampling.SampleSpec` /
   :func:`~repro.kernel.sampling.run_sampled` — detailed-window sampling
   with functional fast-forward and extrapolated results.
 
-Nothing on the default simulation path imports this package; callers
-opt in via ``--kernel batched`` / ``--sample-interval`` (or the
-``kernel``/``sample`` arguments of :func:`repro.core.ssmt.run_ssmt` and
-:class:`repro.parallel.SweepTask`).
+:func:`repro.uarch.timing.timing_model` picks the loop: batched unless
+a caller asks for ``kernel="scalar"``, the reference the equivalence
+tests compare against.
 """
 
 from repro.kernel.batched import BatchedOoOTimingModel
-from repro.kernel.columns import (
-    BACKENDS,
-    TraceColumns,
-    predecode,
-    resolve_backend,
-)
+from repro.kernel.columns import TraceColumns, predecode
 from repro.kernel.sampling import SampleSpec, run_sampled
-
-#: retire-loop kernel implementations selectable by CLI/tasks
-KERNEL_NAMES = ("scalar", "batched")
+from repro.uarch.timing import KERNELS as KERNEL_NAMES
 
 __all__ = [
-    "BACKENDS",
     "BatchedOoOTimingModel",
     "KERNEL_NAMES",
     "SampleSpec",
     "TraceColumns",
     "predecode",
-    "resolve_backend",
     "run_sampled",
 ]

@@ -20,9 +20,9 @@ pins the contract down with randomized property tests and task-key
 payload identity on the gcc/50k reference.
 
 The fusion only understands the stock engine surface.  Any other
-listener — or an engine subclass that grew an ``on_timed`` hook — falls
-back to the inherited scalar loop, so correctness never depends on the
-fast path recognising a caller.
+listener — including every engine subclass, such as the profile-guided
+``StaticSSMTEngine`` — falls back to the inherited scalar loop, so
+correctness never depends on the fast path recognising a caller.
 
 Hook costs when unused stay zero: telemetry/sanitizer dispatch sits
 behind the engine's precomputed ``_quiet`` flag exactly like the scalar
@@ -95,10 +95,9 @@ class BatchedOoOTimingModel(OoOTimingModel):
 
     def run(self, trace: Trace, predictor: BranchPredictorComplex,
             listener=None) -> TimingResult:
-        if listener is not None and (
-                not isinstance(listener, SSMTEngine)
-                or getattr(listener, "on_timed", None) is not None):
-            # Unknown listener surface: correctness over speed.
+        if listener is not None and type(listener) is not SSMTEngine:
+            # Unknown listener surface (including engine subclasses that
+            # override retire work): correctness over speed.
             return super().run(trace, predictor, listener)
         columns = predecode(trace)
         result = TimingResult(name=trace.name, cache=self.caches.stats)

@@ -46,7 +46,9 @@ class ResultStore(ABC):
     * :meth:`put` validates that the payload's embedded ``task_key``
       matches the store key (the content-addressing invariant);
     * ``hits`` / ``misses`` / ``writes`` / ``invalid`` counters are
-      maintained for observability.
+      maintained for observability by :meth:`get` and :meth:`put`;
+      :meth:`peek` reads the same entries without touching any counter
+      (API reads are not cache traffic).
     """
 
     hits: int
@@ -59,6 +61,10 @@ class ResultStore(ABC):
         """The stored payload for ``key``, or ``None`` on miss."""
 
     @abstractmethod
+    def peek(self, key: str) -> Optional[Dict[str, Any]]:
+        """What :meth:`get` would return, counting nothing."""
+
+    @abstractmethod
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Persist ``payload`` under ``key`` (atomically, if durable)."""
 
@@ -68,10 +74,7 @@ class ResultStore(ABC):
 
     def __contains__(self, key: str) -> bool:
         """Membership without touching the hit/miss counters."""
-        before_hits, before_misses = self.hits, self.misses
-        present = self.get(key) is not None
-        self.hits, self.misses = before_hits, before_misses
-        return present
+        return self.peek(key) is not None
 
     @staticmethod
     def check_key(key: str, payload: Dict[str, Any]) -> None:
@@ -101,22 +104,25 @@ class ResultCache(ResultStore):
         Corrupt or mismatched files count as misses (and are left in
         place for post-mortems; a re-run overwrites them atomically).
         """
-        path = self.path(key)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            if os.path.exists(path):
+        payload = self.peek(key)
+        if payload is None:
+            if os.path.exists(self.path(key)):
                 self.invalid += 1
             self.misses += 1
+            return None
+        self.hits += 1
+        return payload
+
+    def peek(self, key: str) -> Optional[Dict[str, Any]]:
+        try:
+            with open(self.path(key)) as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):
             return None
         if (not isinstance(payload, dict)
                 or payload.get("schema") != POINT_SCHEMA
                 or payload.get("task_key") != key):
-            self.invalid += 1
-            self.misses += 1
             return None
-        self.hits += 1
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:

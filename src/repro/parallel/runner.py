@@ -156,7 +156,12 @@ class SweepRunner:
                     if observer is not None:
                         observer.on_cache_miss(task)
 
-        # 3. execute what's left
+        # 3. execute what's left, grouped by trace: grids arrive
+        # setting-major, and a worker's trace LRU is small, so dispatching
+        # in task order would regenerate a trace for almost every point.
+        # The sort is stable and results fan out by key, so the order
+        # changes nothing but cache affinity.
+        pending.sort(key=lambda task: (task.benchmark, task.instructions))
         if pending:
             if self.jobs <= 1:
                 outcome.workers = 1

@@ -72,7 +72,7 @@ def build_grid(
     widths: Sequence[int] = (),
     machine: MachineConfig = TABLE3_BASELINE,
     predictor: Optional["PredictorConfig"] = None,
-    kernel: str = "scalar",
+    kernel: str = "batched",
     sample: Optional[Any] = None,
 ) -> List[SweepTask]:
     """Expand benchmarks x widths x knob-settings into sweep tasks.

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 from repro.core.oracle import PotentialConfig
 from repro.core.ssmt import SSMTConfig
 from repro.uarch.config import TABLE3_BASELINE, MachineConfig
+from repro.uarch.timing import KERNELS
 
 if TYPE_CHECKING:  # pragma: no cover — keeps repro.branch.zoo unimported
     from repro.branch.zoo.config import PredictorConfig
@@ -63,10 +64,6 @@ from repro.schemas import (  # noqa: F401  (re-exports)
 #: Simulations a sweep point can request.
 TASK_KINDS = ("baseline", "ssmt", "oracle", "potential")
 
-#: Retire-loop kernels a task may select.  Mirrors
-#: ``repro.kernel.KERNEL_NAMES`` without importing :mod:`repro.kernel`
-#: (task construction must stay import-light).
-KERNELS = ("scalar", "batched")
 
 
 def _jsonable(value: Any) -> Any:
@@ -116,10 +113,11 @@ class SweepTask:
     #: zoo baseline direction predictor; ``None`` is the paper's hybrid
     #: (the default path never imports :mod:`repro.branch.zoo`)
     predictor: Optional["PredictorConfig"] = None
-    #: retire-loop kernel; NOT part of the key — ``batched`` is
-    #: bit-identical to ``scalar`` by contract, so both share one cache
-    #: entry (``tests/test_kernel.py`` enforces payload identity)
-    kernel: str = "scalar"
+    #: retire-loop kernel; NOT part of the key — ``batched`` (the
+    #: default) is bit-identical to the ``scalar`` reference loop by
+    #: contract, so both share one cache entry (``tests/test_kernel.py``
+    #: and ``tests/test_golden.py`` enforce payload identity)
+    kernel: str = "batched"
     #: sampled-simulation spec (:class:`repro.kernel.sampling.SampleSpec`);
     #: IS part of the key — sampled results are extrapolations, never
     #: interchangeable with exact ones

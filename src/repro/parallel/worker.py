@@ -27,7 +27,7 @@ from repro.core.oracle import run_potential
 from repro.core.ssmt import SSMTEngine, run_ssmt
 from repro.parallel.cache import POINT_SCHEMA
 from repro.parallel.taskkey import SweepTask
-from repro.uarch.timing import OoOTimingModel, TimingResult
+from repro.uarch.timing import TimingResult, timing_model
 from repro.workloads import benchmark_trace
 
 
@@ -94,16 +94,12 @@ def run_task(task: SweepTask, telemetry: Optional[Any] = None,
 
             result = run_sampled(trace, _direction_complex(task),
                                  task.sample, machine=task.machine)
-        elif task.kernel == "batched":
-            from repro.kernel.batched import BatchedOoOTimingModel
-
-            result = BatchedOoOTimingModel(task.machine).run(
-                trace, _direction_complex(task))
         else:
-            result = OoOTimingModel(task.machine).run(
+            result = timing_model(task.machine, task.kernel).run(
                 trace, _direction_complex(task))
     elif task.kind == "oracle":
-        result = OoOTimingModel(task.machine).run(trace, oracle_complex())
+        result = timing_model(task.machine, task.kernel).run(
+            trace, oracle_complex())
     elif task.kind == "potential":
         result, _ = run_potential(trace, task.potential,
                                   machine=task.machine,

@@ -18,7 +18,7 @@ A request::
       "knob": "n", "values": [4, 10],     # optional SSMTConfig sweep
       "widths": [8, 16],                  # optional machine widths
       "predictor": "tage",                # optional zoo baseline
-      "kernel": "batched",                # default "scalar"
+      "kernel": "scalar",                 # default "batched"
       "sample": {"interval": 10000,       # optional sampled simulation
                  "warmup": 2000}
     }
@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.parallel.sweep import build_grid, parse_knob_value
 from repro.parallel.taskkey import SweepTask, canonical_json
+from repro.uarch.timing import KERNELS
 from repro.workloads import BENCHMARK_NAMES
 
 #: Request keys the service understands; anything else is a typo we
@@ -144,10 +145,10 @@ def normalise_spec(payload: Any,
                 "predictor", f"unknown predictor {predictor!r}; choose "
                              f"from {', '.join(sorted(ARENA_BASELINES))}")
 
-    kernel = payload.get("kernel", "scalar")
-    if kernel not in ("scalar", "batched"):
-        raise GridSpecError("kernel", f"kernel must be 'scalar' or "
-                                      f"'batched', got {kernel!r}")
+    kernel = payload.get("kernel", "batched")
+    if kernel not in KERNELS:
+        raise GridSpecError("kernel", f"kernel must be one of {KERNELS}, "
+                                      f"got {kernel!r}")
 
     sample = payload.get("sample")
     if sample is not None:

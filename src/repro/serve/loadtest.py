@@ -13,7 +13,7 @@ it twice, and writes a ``repro.service.bench/1`` artifact:
   measures pure content-addressed reuse.
 
 Hit rates come from ``/v1/stats`` store-counter deltas around each
-pass — API reads are counter-neutral (see ``SweepService._peek``), so
+pass — API reads are counter-neutral (``ResultStore.peek``), so
 the deltas are exactly the runner's cache traffic.  The harness also
 re-runs one grid locally through the same ``SweepRunner`` +
 ``merge_sweep`` pipeline the CLI uses and asserts the served artifact is

@@ -245,7 +245,7 @@ class SweepService:
         tasks = spec_tasks(job.spec)
         results: List[Optional[Dict[str, Any]]] = []
         for task in tasks:
-            payload = self._peek(task.key)
+            payload = self.store.peek(task.key)
             results.append(None if payload is None
                            else dict(payload, label=task.label))
         context = {
@@ -258,8 +258,10 @@ class SweepService:
         return merge_sweep(results, context=context, errors=job.failures)
 
     def task(self, key: str) -> Optional[Dict[str, Any]]:
-        """Content-addressed point lookup straight from the store."""
-        return self._peek(key)
+        """Content-addressed point lookup straight from the store
+        (counter-neutral: API reads are not cache traffic, and the
+        loadtest derives hit rates from counter deltas)."""
+        return self.store.peek(key)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -271,15 +273,6 @@ class SweepService:
             "scheduled_jobs": scheduled,
             "shards_run": self.shards_run,
         }
-
-    def _peek(self, key: str) -> Optional[Dict[str, Any]]:
-        """Read a payload without perturbing the store's hit/miss
-        counters — API reads are not cache traffic, and the loadtest
-        derives hit rates from counter deltas."""
-        before = (self.store.hits, self.store.misses, self.store.invalid)
-        payload = self.store.get(key)
-        self.store.hits, self.store.misses, self.store.invalid = before
-        return payload
 
     # -- dispatcher -----------------------------------------------------------
 

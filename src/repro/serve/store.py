@@ -34,18 +34,22 @@ class MemoryResultStore(ResultStore):
         self.invalid = 0
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = self._data.get(key)
+        payload = self.peek(key)
         if payload is None:
-            self.misses += 1
-            return None
-        if (payload.get("schema") != POINT_SCHEMA
-                or payload.get("task_key") != key):
-            # Same contract as the disk backend: foreign or mismatched
-            # entries read as misses, never as errors.
-            self.invalid += 1
+            if key in self._data:
+                self.invalid += 1
             self.misses += 1
             return None
         self.hits += 1
+        return payload
+
+    def peek(self, key: str) -> Optional[Dict[str, Any]]:
+        payload = self._data.get(key)
+        if payload is None or (payload.get("schema") != POINT_SCHEMA
+                               or payload.get("task_key") != key):
+            # Same contract as the disk backend: foreign or mismatched
+            # entries read as misses, never as errors.
+            return None
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import ALU_OPS, Opcode
 from repro.isa.program import Program
-from repro.isa.registers import NUM_REGS, REG_RA, REG_SP, REG_ZERO
+from repro.isa.registers import NUM_REGS, REG_RA, REG_SP
 from repro.sim.trace import DynamicInstruction, Trace
 
 _MASK = (1 << 64) - 1
@@ -58,162 +58,220 @@ class FunctionalSimulator:
         self.halted = False
 
     def run(self) -> Trace:
-        """Run to ``HALT`` or the instruction budget; return the trace."""
+        """Run to ``HALT`` or the instruction budget; return the trace.
+
+        The interpreter is the trace generator's whole cost, so it runs
+        over a per-program decode table of plain ints (no ``Opcode``
+        attribute lookups per instruction), keeps every constant and
+        helper in a local, and tests opcodes in the suite's dynamic
+        frequency order.  Records are built in one constructor call.
+        """
         records: List[DynamicInstruction] = []
         append = records.append
+        record = DynamicInstruction
         regs = self.regs
         memory = self.memory
+        mem_get = memory.get
+        alu = _alu
+        signed = to_signed
+        mask = _MASK
         instructions = self.program.instructions
-        n_static = len(instructions)
+        decoded = [(int(i.opcode), i.rd, i.rs1, i.rs2, i.imm, i.target, i)
+                   for i in instructions]
+        n_static = len(decoded)
         pc = self.pc
         budget = self.max_instructions
+
+        # Opcodes as int locals, in dispatch order.
+        ADDI, LI, LD, ADD = _ADDI, _LI, _LD, _ADD
+        XOR, SRLI, JMP, BLT, ANDI, MOV = _XOR, _SRLI, _JMP, _BLT, _ANDI, _MOV
+        CALL, RET, BNE, BEQ, BGE = _CALL, _RET, _BNE, _BEQ, _BGE
+        JR, ST, NOP, HALT = _JR, _ST, _NOP, _HALT
+        reg_reg = _REG_REG_OPS
+        imm_to_reg = _IMM_TO_REG
+        ra = REG_RA
 
         for seq in range(budget):
             if not 0 <= pc < n_static:
                 raise SimulationError(f"pc {pc} out of range at seq {seq}")
-            inst = instructions[pc]
-            op = inst.opcode
-            rec = DynamicInstruction(seq, inst)
+            op, rd, rs1, rs2, imm, target, inst = decoded[pc]
             next_pc = pc + 1
 
-            if op == Opcode.ADD:
-                a, b = regs[inst.rs1], regs[inst.rs2]
-                r = (a + b) & _MASK
-                rec.src1_val, rec.src2_val, rec.result = a, b, r
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = r
-            elif op == Opcode.ADDI:
-                a = regs[inst.rs1]
-                r = (a + inst.imm) & _MASK
-                rec.src1_val, rec.result = a, r
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = r
-            elif op == Opcode.LD:
-                a = regs[inst.rs1]
-                ea = (a + inst.imm) & _MASK
-                r = memory.get(ea, 0)
-                rec.src1_val, rec.ea, rec.result = a, ea, r
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = r
-            elif op == Opcode.ST:
-                a, v = regs[inst.rs1], regs[inst.rs2]
-                ea = (a + inst.imm) & _MASK
-                memory[ea] = v
-                rec.src1_val, rec.src2_val, rec.ea, rec.result = a, v, ea, v
-            elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-                a, b = regs[inst.rs1], regs[inst.rs2]
-                if op == Opcode.BEQ:
-                    taken = a == b
-                elif op == Opcode.BNE:
+            if op == ADDI:
+                a = regs[rs1]
+                r = (a + imm) & mask
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, 0, r, None, False, next_pc))
+            elif op == LI:
+                r = imm & mask
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, 0, 0, r, None, False, next_pc))
+            elif op == LD:
+                a = regs[rs1]
+                ea = (a + imm) & mask
+                r = mem_get(ea, 0)
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, 0, r, ea, False, next_pc))
+            elif op == ADD:
+                a = regs[rs1]
+                b = regs[rs2]
+                r = (a + b) & mask
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, b, r, None, False, next_pc))
+            elif op == XOR:
+                a = regs[rs1]
+                b = regs[rs2]
+                r = a ^ b
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, b, r, None, False, next_pc))
+            elif op == SRLI:
+                a = regs[rs1]
+                r = (a & mask) >> (imm & 63)
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, 0, r, None, False, next_pc))
+            elif op == JMP:
+                next_pc = target
+                append(record(seq, inst, 0, 0, 0, None, True, next_pc))
+            elif op == BLT or op == BNE or op == BEQ or op == BGE:
+                a = regs[rs1]
+                b = regs[rs2]
+                if op == BLT:
+                    taken = signed(a) < signed(b)
+                elif op == BNE:
                     taken = a != b
-                elif op == Opcode.BLT:
-                    taken = to_signed(a) < to_signed(b)
+                elif op == BEQ:
+                    taken = a == b
                 else:
-                    taken = to_signed(a) >= to_signed(b)
-                rec.src1_val, rec.src2_val = a, b
-                rec.taken = taken
-                rec.result = 1 if taken else 0
+                    taken = signed(a) >= signed(b)
                 if taken:
-                    next_pc = inst.target
-            elif op == Opcode.LI:
-                r = inst.imm & _MASK
-                rec.result = r
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = r
-            elif op == Opcode.MOV:
-                a = regs[inst.rs1]
-                rec.src1_val, rec.result = a, a
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = a
-            elif op in (Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-                        Opcode.SLL, Opcode.SRL, Opcode.SRA, Opcode.SLT,
-                        Opcode.SLTU, Opcode.MUL):
-                a, b = regs[inst.rs1], regs[inst.rs2]
-                r = _alu(op, a, b)
-                rec.src1_val, rec.src2_val, rec.result = a, b, r
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = r
-            elif op in (Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLLI,
-                        Opcode.SRLI, Opcode.SLTI):
-                a = regs[inst.rs1]
-                r = _alu(_IMM_TO_REG[op], a, inst.imm & _MASK)
-                rec.src1_val, rec.result = a, r
-                if inst.rd != REG_ZERO:
-                    regs[inst.rd] = r
-            elif op == Opcode.JMP:
-                rec.taken = True
-                next_pc = inst.target
-            elif op == Opcode.CALL:
-                regs[REG_RA] = pc + 1
-                rec.taken = True
-                rec.result = pc + 1
-                next_pc = inst.target
-            elif op == Opcode.RET:
-                a = regs[REG_RA]
-                rec.src1_val = a
-                rec.taken = True
+                    next_pc = target
+                append(record(seq, inst, a, b, 1 if taken else 0, None,
+                              taken, next_pc))
+            elif op == ANDI:
+                a = regs[rs1]
+                r = a & (imm & mask)
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, 0, r, None, False, next_pc))
+            elif op == MOV:
+                a = regs[rs1]
+                if rd:
+                    regs[rd] = a
+                append(record(seq, inst, a, 0, a, None, False, next_pc))
+            elif op == CALL:
+                r = pc + 1
+                regs[ra] = r
+                next_pc = target
+                append(record(seq, inst, 0, 0, r, None, True, next_pc))
+            elif op == RET:
+                a = regs[ra]
                 next_pc = a
-            elif op == Opcode.JR:
-                a = regs[inst.rs1]
-                rec.src1_val = a
-                rec.taken = True
+                append(record(seq, inst, a, 0, 0, None, True, next_pc))
+            elif op in reg_reg:
+                a = regs[rs1]
+                b = regs[rs2]
+                r = alu(op, a, b)
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, b, r, None, False, next_pc))
+            elif op in imm_to_reg:
+                a = regs[rs1]
+                r = alu(imm_to_reg[op], a, imm & mask)
+                if rd:
+                    regs[rd] = r
+                append(record(seq, inst, a, 0, r, None, False, next_pc))
+            elif op == JR:
+                a = regs[rs1]
                 next_pc = a
-            elif op == Opcode.NOP:
-                pass
-            elif op == Opcode.HALT:
-                rec.next_pc = pc
-                append(rec)
+                append(record(seq, inst, a, 0, 0, None, True, next_pc))
+            elif op == ST:
+                a = regs[rs1]
+                v = regs[rs2]
+                ea = (a + imm) & mask
+                memory[ea] = v
+                append(record(seq, inst, a, v, v, ea, False, next_pc))
+            elif op == NOP:
+                append(record(seq, inst, 0, 0, 0, None, False, next_pc))
+            elif op == HALT:
+                append(record(seq, inst, 0, 0, 0, None, False, pc))
                 self.halted = True
                 break
             else:
                 raise SimulationError(
-                    f"illegal opcode {op.name} at pc {pc} (seq {seq})"
+                    f"illegal opcode {inst.opcode.name} at pc {pc} "
+                    f"(seq {seq})"
                 )
-
-            rec.next_pc = next_pc
-            append(rec)
             pc = next_pc
 
         self.pc = pc
+        # The trace shares the program's data image: nothing downstream
+        # mutates it (the SSMT engine copies it before replaying stores).
         return Trace(records, name=self.program.name, halted=self.halted,
-                     initial_memory=dict(self.program.data.values))
+                     initial_memory=self.program.data.values)
 
 
-_IMM_TO_REG = {
-    Opcode.ANDI: Opcode.AND,
-    Opcode.ORI: Opcode.OR,
-    Opcode.XORI: Opcode.XOR,
-    Opcode.SLLI: Opcode.SLL,
-    Opcode.SRLI: Opcode.SRL,
-    Opcode.SLTI: Opcode.SLT,
-}
+# Opcode values as plain ints: the interpreter compares them against its
+# decode table's int opcodes without touching the enum.
+_ADD, _SUB, _AND, _OR, _XOR = (int(Opcode.ADD), int(Opcode.SUB),
+                               int(Opcode.AND), int(Opcode.OR),
+                               int(Opcode.XOR))
+_SLL, _SRL, _SRA = int(Opcode.SLL), int(Opcode.SRL), int(Opcode.SRA)
+_SLT, _SLTU, _MUL = int(Opcode.SLT), int(Opcode.SLTU), int(Opcode.MUL)
+_ADDI, _ANDI, _SRLI = int(Opcode.ADDI), int(Opcode.ANDI), int(Opcode.SRLI)
+_LI, _MOV, _LD, _ST = (int(Opcode.LI), int(Opcode.MOV), int(Opcode.LD),
+                       int(Opcode.ST))
+_BEQ, _BNE, _BLT, _BGE = (int(Opcode.BEQ), int(Opcode.BNE),
+                          int(Opcode.BLT), int(Opcode.BGE))
+_JMP, _CALL, _RET, _JR = (int(Opcode.JMP), int(Opcode.CALL),
+                          int(Opcode.RET), int(Opcode.JR))
+_NOP, _HALT = int(Opcode.NOP), int(Opcode.HALT)
+
+#: reg-reg ALU opcodes the interpreter hands to :func:`_alu`
+_REG_REG_OPS = frozenset(int(op) for op in ALU_OPS)
+
+#: reg-imm ALU opcode -> the reg-reg opcode that computes it
+_IMM_TO_REG = {int(imm): int(reg) for imm, reg in (
+    (Opcode.ANDI, Opcode.AND),
+    (Opcode.ORI, Opcode.OR),
+    (Opcode.XORI, Opcode.XOR),
+    (Opcode.SLLI, Opcode.SLL),
+    (Opcode.SRLI, Opcode.SRL),
+    (Opcode.SLTI, Opcode.SLT),
+)}
 
 
-def _alu(op: Opcode, a: int, b: int) -> int:
-    """64-bit ALU semantics shared by reg-reg and reg-imm forms."""
-    if op == Opcode.ADD:
-        return (a + b) & _MASK
-    if op == Opcode.SUB:
-        return (a - b) & _MASK
-    if op == Opcode.AND:
-        return a & b
-    if op == Opcode.OR:
-        return a | b
-    if op == Opcode.XOR:
+def _alu(op: int, a: int, b: int) -> int:
+    """64-bit ALU semantics shared by reg-reg and reg-imm forms
+    (``op`` is an :class:`Opcode` or its int value)."""
+    if op == _XOR:
         return a ^ b
-    if op == Opcode.SLL:
+    if op == _ADD:
+        return (a + b) & _MASK
+    if op == _SUB:
+        return (a - b) & _MASK
+    if op == _AND:
+        return a & b
+    if op == _OR:
+        return a | b
+    if op == _SLL:
         return (a << (b & 63)) & _MASK
-    if op == Opcode.SRL:
+    if op == _SRL:
         return (a & _MASK) >> (b & 63)
-    if op == Opcode.SRA:
+    if op == _SRA:
         return (to_signed(a) >> (b & 63)) & _MASK
-    if op == Opcode.SLT:
+    if op == _SLT:
         return 1 if to_signed(a) < to_signed(b) else 0
-    if op == Opcode.SLTU:
+    if op == _SLTU:
         return 1 if (a & _MASK) < (b & _MASK) else 0
-    if op == Opcode.MUL:
+    if op == _MUL:
         return (a * b) & _MASK
-    raise SimulationError(f"not an ALU op: {op.name}")
+    raise SimulationError(f"not an ALU op: {Opcode(op).name}")
 
 
 #: Public alias: evaluate one ALU operation with 64-bit semantics.

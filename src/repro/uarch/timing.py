@@ -376,3 +376,27 @@ class OoOTimingModel:
         if on_outcome is not None:
             on_outcome(idx, rec, kind, arrival <= fetch_cycle, ut_correct, hw_mis)
         return effective_mis, recovery, bubble
+
+
+#: retire-loop implementations :func:`timing_model` builds
+KERNELS = ("scalar", "batched")
+
+
+def timing_model(machine: MachineConfig = TABLE3_BASELINE,
+                 kernel: str = "batched") -> OoOTimingModel:
+    """The timing model an exact pass runs on.
+
+    ``"batched"`` (the default) is the predecoded-column loop of
+    :class:`repro.kernel.batched.BatchedOoOTimingModel`: it fuses the
+    stock :class:`~repro.core.ssmt.SSMTEngine` into the loop and hands
+    any other listener to the inherited per-record loop.  ``"scalar"`` is
+    that per-record loop itself, the reference the equivalence tests
+    compare against.  Both produce bit-identical results.
+    """
+    if kernel == "batched":
+        from repro.kernel.batched import BatchedOoOTimingModel
+
+        return BatchedOoOTimingModel(machine)
+    if kernel == "scalar":
+        return OoOTimingModel(machine)
+    raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")

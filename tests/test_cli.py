@@ -16,6 +16,7 @@ class TestParser:
         assert args.n == 10
         assert args.threshold == 0.10
         assert not args.profile_guided
+        assert args.kernel == "batched"
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "fig7"])
@@ -116,6 +117,45 @@ class TestVerifyCommand:
         assert main(["run", "comp", "--instructions", "20000",
                      "--sanitize"]) == 0
         assert "invariants held" in capsys.readouterr().out
+
+    def test_run_sanitize_on_batched_default_matches_scalar(self, capsys):
+        """The sanitizer observes every retire on the default (batched)
+        loop and reports exactly what the scalar reference loop does."""
+        outs = []
+        for extra in ([], ["--kernel", "scalar"]):
+            assert main(["run", "mcf_2k", "--instructions", "30000",
+                         "--sanitize"] + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert "invariants held" in outs[0]
+        assert outs[0] == outs[1]
+
+    def test_run_metrics_out_on_batched_default_matches_scalar(
+            self, tmp_path, capsys):
+        """Telemetry attaches to the default (batched) loop and records
+        the same metrics, samples and spans as the scalar loop."""
+        import json
+
+        reports = []
+        for kernel in ("batched", "scalar"):
+            path = tmp_path / f"{kernel}.json"
+            assert main(["run", "comp", "--instructions", "30000",
+                         "--kernel", kernel, "--metrics-out",
+                         str(path)]) == 0
+            assert f"wrote {path}" in capsys.readouterr().out
+            reports.append(json.loads(path.read_text()))
+        batched, scalar = reports
+        for section in ("metrics", "samples", "spans"):
+            assert batched[section] == scalar[section], section
+        assert len(batched["samples"]) >= 5
+
+    def test_run_profile_guided_under_either_kernel(self, capsys):
+        outs = []
+        for kernel in ("batched", "scalar"):
+            assert main(["run", "comp", "--instructions", "20000",
+                         "--profile-guided", "--kernel", kernel]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "profile-guided SSMT" in outs[0]
+        assert outs[0] == outs[1]
 
     def test_run_sanitize_rejects_profile_guided(self):
         with pytest.raises(SystemExit):

@@ -3,11 +3,11 @@
 The contract under test (``repro.kernel``):
 
 * predecode: the struct-of-arrays columns agree with the per-record
-  attribute walk on every backend, including the pure-Python fallback,
-* batched == scalar: the fused kernel is *bit-identical* to the scalar
-  loop, both at the ``TimingResult``/engine-report level and at the
-  worker-payload level (the justification for excluding ``kernel`` from
-  the task key),
+  attribute walk,
+* batched == scalar: the fused kernel (the default loop) is
+  *bit-identical* to the scalar reference loop, both at the
+  ``TimingResult``/engine-report level and at the worker-payload level
+  (the justification for excluding ``kernel`` from the task key),
 * PRB ``insert_decoded`` == ``insert`` (the decoded-column fast path),
 * sampled simulation: marked, key-distinct, within the documented error
   bound, and exact for a degenerate spec.
@@ -23,12 +23,10 @@ from repro.branch.unit import BranchPredictorComplex
 from repro.core.prb import PostRetirementBuffer
 from repro.core.ssmt import SSMTConfig, run_ssmt
 from repro.kernel import (
-    BACKENDS,
     BatchedOoOTimingModel,
     KERNEL_NAMES,
     SampleSpec,
     predecode,
-    resolve_backend,
 )
 from repro.kernel.columns import (
     HAS_DEST,
@@ -42,7 +40,7 @@ from repro.kernel.columns import (
 )
 from repro.parallel.taskkey import SweepTask
 from repro.parallel.worker import run_task
-from repro.uarch.timing import OoOTimingModel
+from repro.uarch.timing import OoOTimingModel, timing_model
 from repro.workloads import BENCHMARK_NAMES, benchmark_trace
 
 
@@ -51,19 +49,10 @@ def fresh_trace(name, n):
     return benchmark_trace(name, n)
 
 
-def _require(backend):
-    """Skip a numpy-backend case when numpy is not installed (the
-    fallback CI job runs this suite without it)."""
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-
-
 class TestPredecode:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_columns_match_records(self, backend):
-        _require(backend)
+    def test_columns_match_records(self):
         trace = fresh_trace("gcc", 4000)
-        columns = predecode(trace, backend=backend)
+        columns = predecode(trace)
         assert columns.n == len(trace.records)
         (flags, pcs, ops, dests, src1s, src2s, nsrcs, imms, eas,
          results, next_pcs) = columns.lists()
@@ -93,37 +82,13 @@ class TestPredecode:
             assert results[idx] == (rec.result or 0)
             assert next_pcs[idx] == rec.next_pc
 
-    def test_backends_produce_identical_lists(self):
-        trace = fresh_trace("mcf_2k", 3000)
-        reference = predecode(trace, backend="python").lists()
-        available = [b for b in BACKENDS if b != "numpy"]
-        try:
-            import numpy  # noqa: F401
-            available.insert(0, "numpy")
-        except ImportError:
-            pass
-        for backend in available:
-            if backend == "python":
-                continue
-            got = predecode(trace, backend=backend).lists()
-            assert [list(col) for col in got] \
-                == [list(col) for col in reference], backend
+    def test_columns_are_plain_lists(self):
+        columns = predecode(fresh_trace("mcf_2k", 3000))
+        assert all(type(col) is list for col in columns.lists())
 
-    def test_predecode_is_memoized_per_backend(self):
+    def test_predecode_is_memoized(self):
         trace = fresh_trace("gcc", 500)
-        first = predecode(trace, backend="python")
-        assert predecode(trace, backend="python") is first
-        assert predecode(trace, backend="array") is not first
-
-    def test_env_var_forces_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-        assert resolve_backend(None) == "python"
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        assert resolve_backend("array") == "array"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
+        assert predecode(trace) is predecode(trace)
 
     def test_kernel_names(self):
         assert KERNEL_NAMES == ("scalar", "batched")
@@ -290,14 +255,40 @@ class TestRunSsmtDispatch:
         with pytest.raises(ValueError):
             run_ssmt(trace, kernel="turbo")
 
+    def test_timing_model_defaults_to_batched(self):
+        assert type(timing_model()) is BatchedOoOTimingModel
+        assert type(timing_model(kernel="scalar")) is OoOTimingModel
+        assert SweepTask(benchmark="gcc", instructions=10).kernel \
+            == "batched"
+
+    def test_engine_subclass_runs_the_reference_loop(self):
+        """The fused loop inlines the stock engine's retire work, so an
+        engine subclass (the profile-guided StaticSSMTEngine overrides
+        ``on_retire``) must get the inherited per-record loop."""
+        from repro.core.static import (
+            StaticSSMTEngine,
+            prebuild_microthreads,
+            profile_difficult_paths,
+        )
+
+        trace = benchmark_trace("comp", 20_000)
+        config = SSMTConfig()
+        threads = prebuild_microthreads(
+            trace, profile_difficult_paths(trace, n=config.n), config)
+        results = []
+        for model in (OoOTimingModel(), BatchedOoOTimingModel()):
+            engine = StaticSSMTEngine(threads, config,
+                                      initial_memory=trace.initial_memory)
+            results.append(model.run(trace, BranchPredictorComplex(),
+                                     listener=engine).as_dict())
+        assert results[0] == results[1]
+
 
 class TestZeroCost:
-    def test_default_paths_never_import_kernel(self):
-        """Scalar-kernel, unsampled tasks keep :mod:`repro.kernel` out of
-        sys.modules entirely — the same hot-path guard the zoo has
-        (``tests/test_zoo_zero_cost.py``): the default simulation path
-        must measure exactly the code it measured before the kernel
-        package existed."""
+    def test_default_paths_never_import_numpy(self):
+        """The default baseline/ssmt worker paths are pure Python: with
+        the column backends gone, nothing on them imports numpy (which
+        cost ~30 MiB RSS per process)."""
         import json as json_mod
         import subprocess
         import sys
@@ -312,13 +303,16 @@ class TestZeroCost:
             "                   instructions=2000))\n"
             "run_task(SweepTask(kind='ssmt', benchmark='gcc',\n"
             "                   instructions=2000))\n"
-            "kernel = [m for m in sys.modules\n"
-            "          if m.startswith('repro.kernel')]\n"
-            "print(__import__('json').dumps({'kernel_modules': kernel}))\n"
+            "numpy = [m for m in sys.modules\n"
+            "         if m == 'numpy' or m.startswith('numpy.')]\n"
+            "batched = 'repro.kernel.batched' in sys.modules\n"
+            "print(__import__('json').dumps({'numpy_modules': numpy,\n"
+            "                                'batched': batched}))\n"
         )
         proc = subprocess.run([sys.executable, "-c", program],
                               capture_output=True, text=True,
                               env={"PYTHONPATH": src, "PATH": ""},
                               check=True)
         outcome = json_mod.loads(proc.stdout.strip().splitlines()[-1])
-        assert outcome["kernel_modules"] == []
+        assert outcome["numpy_modules"] == []
+        assert outcome["batched"] is True

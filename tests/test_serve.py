@@ -52,7 +52,7 @@ def make_service(tmp_path, store=None, **config):
 def test_normalise_fills_defaults():
     spec = normalise_spec({"benchmarks": ["comp"]})
     assert spec["instructions"] == 20_000
-    assert spec["kernel"] == "scalar"
+    assert spec["kernel"] == "batched"
     assert spec["knob"] is None and spec["values"] == []
     assert spec["widths"] == [] and spec["sample"] is None
 
@@ -133,6 +133,35 @@ def test_memory_store_contract():
     store._data["bad"] = {"schema": "alien/9", "task_key": "bad"}
     assert store.get("bad") is None and store.invalid == 1
     assert store_stats(store)["entries"] == 2
+
+
+@pytest.mark.parametrize("backend", ["mem", "disk"])
+def test_peek_is_counter_neutral_under_concurrent_gets(tmp_path, backend):
+    """Counted gets on one thread, peeks on another: every get is
+    accounted for exactly (a save/restore around a counting read would
+    lose the other thread's increments)."""
+    store = (MemoryResultStore() if backend == "mem"
+             else make_store(str(tmp_path / "cache")))
+    store.put("k", _point("k"))
+    gets = 400
+    stop = threading.Event()
+
+    def peeker():
+        while not stop.is_set():
+            assert store.peek("k")["task_key"] == "k"
+            assert store.peek("absent") is None
+            assert "k" in store
+
+    thread = threading.Thread(target=peeker)
+    thread.start()
+    try:
+        for i in range(gets):
+            store.get("k" if i % 2 else "absent")
+    finally:
+        stop.set()
+        thread.join()
+    assert store.hits + store.misses == gets
+    assert (store.hits, store.misses, store.invalid) == (200, 200, 0)
 
 
 def test_make_store(tmp_path):
